@@ -13,7 +13,6 @@ from repro.experiments.registry import (
     EXPERIMENTS,
     ExperimentSpec,
     experiment,
-    get_experiment,
     get_spec,
     iter_specs,
     run_experiment,
@@ -24,7 +23,6 @@ __all__ = [
     "EXPERIMENTS",
     "ExperimentSpec",
     "experiment",
-    "get_experiment",
     "get_spec",
     "iter_specs",
     "run_experiment",

@@ -57,6 +57,7 @@ arbitrary (including model-rejected) operating points.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -79,10 +80,11 @@ _FORMATS = {
 
 
 def _jobs(value: str) -> int:
+    """``--jobs N``; 0 is one worker per CPU, with or without ``--shards``."""
     jobs = int(value)
     if jobs < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {jobs}")
-    return jobs
+    return jobs or os.cpu_count() or 1
 
 
 def _retries(value: str) -> int:
@@ -409,6 +411,32 @@ def _emit(
         print("\n\n".join(render(results[eid]) for eid in experiment_ids))
 
 
+def _engine(args: argparse.Namespace) -> ExecutionEngine:
+    """The engine ``run``/``all``/``report`` execute through.
+
+    Under ``--shards N`` it is a :class:`ShardCoordinator`, whose groups
+    each get ``--jobs`` workers.
+    """
+    settings = dict(
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        retries=args.retries,
+        timeout_s=args.timeout,
+        strict=args.strict,
+    )
+    if getattr(args, "shards", 0) < 1:
+        return ExecutionEngine(jobs=args.jobs, **settings)
+    from repro.experiments.shard import ShardCoordinator
+
+    return ShardCoordinator(
+        args.shards,
+        jobs_per_shard=args.jobs,
+        heartbeat_timeout_s=args.shard_timeout_s or None,
+        steal=args.steal,
+        **settings,
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "list":
@@ -419,31 +447,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         experiment_ids = (
             sorted(EXPERIMENTS) if args.command == "all" else list(args.experiments)
         )
-        if args.shards >= 1:
-            from repro.experiments.shard import ShardCoordinator
-
-            runner = ShardCoordinator(
-                args.shards,
-                jobs_per_shard=args.jobs or 1,
-                use_cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-                retries=args.retries,
-                timeout_s=args.timeout,
-                strict=args.strict,
-                heartbeat_timeout_s=args.shard_timeout_s or None,
-                steal=args.steal,
-            )
-        else:
-            runner = ExecutionEngine(
-                jobs=args.jobs,
-                use_cache=not args.no_cache,
-                cache_dir=args.cache_dir,
-                retries=args.retries,
-                timeout_s=args.timeout,
-                strict=args.strict,
-            )
         try:
-            outcome = runner.run(
+            outcome = _engine(args).run(
                 experiment_ids,
                 keep_going=args.keep_going,
                 resume=args.resume,
@@ -471,15 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "report":
         from repro.experiments.report import main as report_main
 
-        engine = ExecutionEngine(
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            retries=args.retries,
-            timeout_s=args.timeout,
-            strict=args.strict,
-        )
-        print(report_main(runner=engine.run_one))
+        print(report_main(runner=_engine(args).run_one))
         return 0
     if args.command == "audit":
         from repro.util.guards import ModelValidityError

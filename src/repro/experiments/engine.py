@@ -1,6 +1,6 @@
 """Fault-tolerant parallel experiment execution engine with result caching.
 
-``cryowire all`` used to recompute all 26 figures/tables serially on
+``cryowire all`` used to recompute all 27 figures/tables serially on
 every invocation. The engine keeps the experiment drivers untouched and
 wraps them in four layers:
 
@@ -31,6 +31,14 @@ wraps them in four layers:
   ``run(..., resume=True)`` to skip experiments the previous run
   already completed.
 
+Every run — a sweep, a single ``run_one`` query, one shard's chunk —
+goes through one skeleton, :meth:`ExecutionEngine.run`: *plan* (dedupe,
+slow-first schedule, unknown ids fail fast, resume done-set, SKIPPED
+records), *dispatch* (cache hits, then inline or pool execution) and
+*conclude* (elapsed time, manifest save, the failure raise).
+:class:`~repro.experiments.shard.ShardCoordinator` overrides only the
+dispatch step and the source of the resume done-set.
+
 Determinism: the experiment drivers are pure functions of their kwargs
 (all randomness goes through seeded ``make_rng``), so parallel execution
 returns byte-identical tables to the serial path — a property the test
@@ -52,7 +60,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache, cache_disabled_by_env
@@ -536,12 +544,13 @@ def _execute(
 
 @dataclass
 class _Task:
-    """Parent-side bookkeeping for one experiment in flight."""
+    """Parent-side bookkeeping for one experiment of a run."""
 
     experiment_id: str
     kwargs: Dict
     key: Optional[str]
     timeout_s: Optional[float]
+    resumed: bool = False  # completed by a previous run; recorded SKIPPED
     attempts: int = 0  # executions submitted so far
     transient_failures: int = 0  # retryable failures consumed so far
     strikes: int = 0  # attributed worker crashes
@@ -595,7 +604,16 @@ class ExecutionEngine:
         :class:`~repro.util.guards.ModelValidityError` inside the worker
         and the experiment fails (non-transient) instead of producing a
         result with caveats.
+
+    :meth:`run` is the one run skeleton — plan, dispatch, conclude.
+    Subclasses change how the planned work is executed by overriding
+    :meth:`_dispatch`, and where a resume reads its done-set by
+    overriding :meth:`_previously_completed`.
     """
+
+    #: Worker groups a run is sharded across (recorded in the manifest);
+    #: ``0`` for a single engine.
+    n_shards = 0
 
     def __init__(
         self,
@@ -657,39 +675,18 @@ class ExecutionEngine:
         )
         return delay * (0.5 + 0.5 * float(self._backoff_rng.random()))
 
-    # -- execution ----------------------------------------------------------
+    # -- the run skeleton ---------------------------------------------------
 
     def run_one(self, experiment_id: str, **kwargs) -> ExperimentResult:
-        """Cached serial execution of a single experiment (with retries)."""
-        spec = get_spec(experiment_id)
-        cacheable = self.use_cache and self.cache.is_cacheable(kwargs)
-        key = self.cache.key_for(spec, kwargs) if cacheable else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        task = _Task(experiment_id, kwargs, key, self._timeout_for(spec))
-        while True:
-            task.attempts += 1
-            payload = _execute(
-                experiment_id,
-                kwargs,
-                task.timeout_s,
-                self.strict,
-                self.leak_threshold,
-            )
-            if self._wants_retry(task, payload):
-                time.sleep(self._backoff_s(task.transient_failures))
-                continue
-            if payload["ok"]:
-                result = ExperimentResult.from_dict(payload["result"])
-                if key is not None:
-                    self.cache.put(key, result)
-                return result
-            raise ExperimentExecutionError(
-                f"{experiment_id} failed after {task.attempts} attempt(s): "
-                f"{payload['error']}"
-            )
+        """Cached serial execution of a single experiment (with retries).
+
+        Never writes the run manifest: ``last_run.json`` describes the
+        last sweep, not the last single query.
+        """
+        outcome = self.run(
+            [experiment_id], {experiment_id: kwargs}, write_manifest=False
+        )
+        return outcome.results[experiment_id]
 
     def run(
         self,
@@ -706,55 +703,22 @@ class ExecutionEngine:
         :class:`RunOutcome` anyway; otherwise the fleet still drains
         and an :class:`ExperimentExecutionError` carrying that partial
         outcome (``exc.outcome``) is raised. ``resume=True`` skips
-        experiments the previous manifest already marks completed.
+        experiments the previous run already completed. A repeated id
+        runs, and is recorded, once.
         """
-        kwargs_by_id = kwargs_by_id or {}
         started = time.perf_counter()
         manifest = RunManifest(
             jobs=self.jobs,
             cache_dir=str(self.cache.cache_dir),
             cache_enabled=self.use_cache,
             created_at=_datetime.datetime.now(_datetime.timezone.utc).isoformat(),
+            shards=self.n_shards,
         )
         results: Dict[str, ExperimentResult] = {}
-        pending: List[_Task] = []
-        done_before = self._previously_completed() if resume else frozenset()
-
-        for experiment_id in self.schedule(experiment_ids):
-            kwargs = kwargs_by_id.get(experiment_id, {})
-            spec = get_spec(experiment_id)  # fail fast on unknown ids
-            cacheable = self.use_cache and self.cache.is_cacheable(kwargs)
-            key = self.cache.key_for(spec, kwargs) if cacheable else None
-            if experiment_id in done_before:
-                start = time.perf_counter()
-                cached = self.cache.get(key) if key is not None else None
-                if cached is not None:
-                    results[experiment_id] = cached
-                manifest.records.append(
-                    RunRecord(
-                        experiment_id,
-                        SKIPPED,
-                        time.perf_counter() - start,
-                        os.getpid(),
-                        attempts=0,
-                    )
-                )
-                continue
-            cached = self.cache.get(key) if key is not None else None
-            if cached is not None:
-                results[experiment_id] = cached
-                manifest.records.append(
-                    RunRecord(experiment_id, HIT, 0.0, os.getpid())
-                )
-            else:
-                pending.append(
-                    _Task(experiment_id, kwargs, key, self._timeout_for(spec))
-                )
-
-        if self.jobs > 1 and len(pending) > 1:
-            self._run_pool(pending, results, manifest)
-        else:
-            self._run_inline(pending, results, manifest)
+        tasks = self._plan(
+            experiment_ids, kwargs_by_id or {}, resume, results, manifest
+        )
+        self._dispatch(tasks, results, manifest)
 
         manifest.elapsed_s = time.perf_counter() - started
         if write_manifest:
@@ -770,8 +734,52 @@ class ExecutionEngine:
             )
         return outcome
 
-    def _previously_completed(self) -> frozenset:
-        """Experiment ids the last manifest marks done (for ``resume``)."""
+    def _plan(
+        self,
+        experiment_ids: Sequence[str],
+        kwargs_by_id: Dict[str, Dict],
+        resume: bool,
+        results: Dict[str, ExperimentResult],
+        manifest: RunManifest,
+    ) -> List[_Task]:
+        """One task per distinct id, in schedule order.
+
+        Unknown ids raise ``KeyError`` before anything runs. Under
+        ``resume`` the tasks a previous run completed are marked
+        ``resumed``, recorded SKIPPED and served from the cache when it
+        still holds them.
+        """
+        tasks = []
+        for experiment_id in self.schedule(set(experiment_ids)):
+            spec = get_spec(experiment_id)
+            kwargs = kwargs_by_id.get(experiment_id, {})
+            cacheable = self.use_cache and self.cache.is_cacheable(kwargs)
+            key = self.cache.key_for(spec, kwargs) if cacheable else None
+            tasks.append(_Task(experiment_id, kwargs, key, self._timeout_for(spec)))
+        done_before = self._previously_completed(tasks) if resume else frozenset()
+        for task in tasks:
+            if task.experiment_id not in done_before:
+                continue
+            task.resumed = True
+            start = time.perf_counter()
+            self._load_cached(task, results)
+            manifest.records.append(
+                RunRecord(
+                    task.experiment_id,
+                    SKIPPED,
+                    time.perf_counter() - start,
+                    os.getpid(),
+                    attempts=0,
+                )
+            )
+        return tasks
+
+    def _previously_completed(self, tasks: Sequence[_Task]) -> FrozenSet[str]:
+        """Experiment ids the last manifest marks done (for ``resume``).
+
+        ``tasks`` is the planned sweep, for subclasses whose done-set
+        source is tied to it; this one reads ``last_run.json``.
+        """
         last = load_last_manifest(self.cache.cache_dir)
         if last is None:
             _LOG.warning(
@@ -783,7 +791,49 @@ class ExecutionEngine:
             r.experiment_id for r in last.records if r.status in COMPLETED_STATUSES
         )
 
+    def _load_cached(
+        self, task: _Task, results: Dict[str, ExperimentResult]
+    ) -> bool:
+        """Put ``task``'s cached result into ``results``; whether there was one."""
+        cached = self.cache.get(task.key) if task.key is not None else None
+        if cached is not None:
+            results[task.experiment_id] = cached
+        return cached is not None
+
+    def _dispatch(
+        self,
+        tasks: List[_Task],
+        results: Dict[str, ExperimentResult],
+        manifest: RunManifest,
+    ) -> None:
+        """Serve cache hits, then compute the misses inline or in a pool."""
+        pending: List[_Task] = []
+        for task in tasks:
+            if task.resumed:
+                continue
+            if self._load_cached(task, results):
+                manifest.records.append(
+                    RunRecord(task.experiment_id, HIT, 0.0, os.getpid())
+                )
+            else:
+                pending.append(task)
+        if self.jobs > 1 and len(pending) > 1:
+            self._run_pool(pending, results, manifest)
+        else:
+            for task in pending:
+                self._run_serial(task, results, manifest)
+
     # -- outcome bookkeeping ------------------------------------------------
+
+    def _execute_args(self, task: _Task) -> Tuple:
+        """Positional arguments of :func:`_execute` for ``task``."""
+        return (
+            task.experiment_id,
+            task.kwargs,
+            task.timeout_s,
+            self.strict,
+            self.leak_threshold,
+        )
 
     def _wants_retry(self, task: _Task, payload: Dict) -> bool:
         """Consume one retry budget slot for a transient failure."""
@@ -809,63 +859,75 @@ class ExecutionEngine:
         manifest: RunManifest,
     ) -> None:
         """Record the final outcome of ``task`` (success or failure)."""
-        warnings = list(payload.get("warnings", []))
-        leaked = payload.get("leaked", 0)
         if payload["ok"]:
             result = ExperimentResult.from_dict(payload["result"])
             results[task.experiment_id] = result
             if task.key is not None:
                 self.cache.put(task.key, result)
             status = MISS if task.key is not None else UNCACHED
-            manifest.records.append(
-                RunRecord(
-                    task.experiment_id,
-                    status,
-                    payload["wall"],
-                    payload["pid"],
-                    attempts=max(1, task.attempts),
-                    warnings=warnings,
-                    leaked_threads=leaked,
-                )
-            )
-            return
-        status = TIMEOUT if payload.get("kind") == "timeout" else ERROR
+        else:
+            status = TIMEOUT if payload.get("kind") == "timeout" else ERROR
         manifest.records.append(
             RunRecord(
                 task.experiment_id,
                 status,
                 payload["wall"],
                 payload["pid"],
-                error=payload["error"],
+                error=payload.get("error", ""),
                 attempts=max(1, task.attempts),
-                warnings=warnings,
-                leaked_threads=leaked,
+                warnings=list(payload.get("warnings", [])),
+                leaked_threads=payload.get("leaked", 0),
             )
         )
 
     # -- serial path --------------------------------------------------------
 
-    def _run_inline(
+    def _run_serial(
         self,
-        pending: List[_Task],
+        task: _Task,
         results: Dict[str, ExperimentResult],
         manifest: RunManifest,
+        isolated: bool = False,
     ) -> None:
-        for task in pending:
-            while True:
-                task.attempts += 1
-                payload = _execute(
+        """Execute ``task`` until it succeeds, fails for good or is quarantined.
+
+        Attempts run in this process, or with ``isolated`` each in a
+        fresh single-worker pool, so a worker crash is attributable to
+        ``task`` and counts as one of its strikes.
+        """
+        while True:
+            task.attempts += 1
+            if isolated:
+                payload = self._run_isolated(task)
+            else:
+                payload = _execute(*self._execute_args(task))
+            if payload is None:
+                task.strikes += 1
+                _LOG.warning(
+                    "%s crashed its isolated worker (strike %d/%d)",
                     task.experiment_id,
-                    task.kwargs,
-                    task.timeout_s,
-                    self.strict,
-                    self.leak_threshold,
+                    task.strikes,
+                    self.crash_strikes,
                 )
-                if self._wants_retry(task, payload):
-                    time.sleep(self._backoff_s(task.transient_failures))
-                    continue
-                self._finish(task, payload, results, manifest)
-                break
+                if task.strikes >= self.crash_strikes:
+                    manifest.records.append(
+                        RunRecord(
+                            task.experiment_id,
+                            QUARANTINED,
+                            0.0,
+                            0,
+                            error=f"quarantined after {task.strikes} worker crash(es)",
+                            attempts=task.attempts,
+                        )
+                    )
+                    return
+                time.sleep(self._backoff_s(task.strikes))
+                continue
+            if self._wants_retry(task, payload):
+                time.sleep(self._backoff_s(task.transient_failures))
+                continue
+            self._finish(task, payload, results, manifest)
+            return
 
     # -- pool path ----------------------------------------------------------
 
@@ -897,14 +959,7 @@ class ExecutionEngine:
                     task.attempts += 1
                     task.submitted_at = time.perf_counter()
                     try:
-                        future = pool.submit(
-                            _execute,
-                            task.experiment_id,
-                            task.kwargs,
-                            task.timeout_s,
-                            self.strict,
-                            self.leak_threshold,
-                        )
+                        future = pool.submit(_execute, *self._execute_args(task))
                     except BrokenProcessPool:
                         # A crash landed between the last harvest and
                         # this submit, so the break surfaces here rather
@@ -983,7 +1038,10 @@ class ExecutionEngine:
 
         Every submitted-but-unharvested experiment is a crash candidate
         (``crashed`` seeds the list with the ones whose futures already
-        reported the break).
+        reported the break). Experiments that merely shared the pool
+        with the crasher complete in isolation; the one that keeps
+        killing its own worker accumulates strikes and is quarantined at
+        ``crash_strikes``.
         """
         candidates = list(crashed)
         candidates.extend(futures.values())
@@ -997,101 +1055,26 @@ class ExecutionEngine:
                 len(candidates),
                 ", ".join(candidates),
             )
-            self._recover_crashed(candidates, tasks, results, manifest)
+            for experiment_id in candidates:
+                self._run_serial(
+                    tasks[experiment_id], results, manifest, isolated=True
+                )
         return self._new_pool(max(1, len(ready) + len(deferred)))
 
-    def _run_isolated(self, task: _Task) -> Tuple[Optional[Dict], bool]:
+    def _run_isolated(self, task: _Task) -> Optional[Dict]:
         """One execution in a fresh single-worker pool.
 
-        Returns ``(payload, crashed)``: a crash here is unambiguously
-        attributable to ``task``.
+        Returns the payload, or ``None`` if the worker crashed — a crash
+        here is unambiguously attributable to ``task``.
         """
         with ProcessPoolExecutor(max_workers=1) as solo:
-            future = solo.submit(
-                _execute,
-                task.experiment_id,
-                task.kwargs,
-                task.timeout_s,
-                self.strict,
-                self.leak_threshold,
-            )
+            future = solo.submit(_execute, *self._execute_args(task))
             try:
-                return future.result(), False
+                return future.result()
             except BrokenProcessPool:
-                return None, True
+                return None
             except Exception as exc:  # noqa: BLE001 - submission failure
-                return _error_payload(task.experiment_id, exc, 0.0, 0), False
-
-    def _recover_crashed(
-        self,
-        candidate_ids: Sequence[str],
-        tasks: Dict[str, _Task],
-        results: Dict[str, ExperimentResult],
-        manifest: RunManifest,
-    ) -> None:
-        """Re-run crash candidates isolated, striking the real crasher.
-
-        Experiments that merely shared the pool with the crasher
-        complete here; the one that keeps killing its own worker
-        accumulates strikes and is quarantined at ``crash_strikes``.
-        """
-        for experiment_id in candidate_ids:
-            task = tasks[experiment_id]
-            while True:
-                task.attempts += 1
-                payload, crashed = self._run_isolated(task)
-                if crashed:
-                    task.strikes += 1
-                    _LOG.warning(
-                        "%s crashed its isolated worker (strike %d/%d)",
-                        experiment_id,
-                        task.strikes,
-                        self.crash_strikes,
-                    )
-                    if task.strikes >= self.crash_strikes:
-                        manifest.records.append(
-                            RunRecord(
-                                experiment_id,
-                                QUARANTINED,
-                                0.0,
-                                0,
-                                error=(
-                                    f"quarantined after {task.strikes} "
-                                    f"worker crash(es)"
-                                ),
-                                attempts=task.attempts,
-                            )
-                        )
-                        break
-                    time.sleep(self._backoff_s(task.strikes))
-                    continue
-                if self._wants_retry(task, payload):
-                    time.sleep(self._backoff_s(task.transient_failures))
-                    continue
-                self._finish(task, payload, results, manifest)
-                break
-
-
-def run_experiments(
-    experiment_ids: Sequence[str],
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[Union[str, Path]] = None,
-    retries: int = 0,
-    timeout_s: Optional[float] = None,
-    strict: bool = False,
-    **run_kwargs,
-) -> RunOutcome:
-    """One-shot convenience wrapper around :class:`ExecutionEngine`."""
-    engine = ExecutionEngine(
-        jobs=jobs,
-        use_cache=use_cache,
-        cache_dir=cache_dir,
-        retries=retries,
-        timeout_s=timeout_s,
-        strict=strict,
-    )
-    return engine.run(experiment_ids, **run_kwargs)
+                return _error_payload(task.experiment_id, exc, 0.0, 0)
 
 
 def load_last_manifest(

@@ -12,9 +12,12 @@ metadata — the execution engine runs ``cost="slow"`` experiments first
 and keys its cache on the module's source digest) and returns the
 function unchanged, so direct calls like ``fig23.run()`` keep working.
 
-``EXPERIMENTS``, ``get_experiment`` and ``run_experiment`` are
-backward-compatible views over the spec table: ``EXPERIMENTS`` behaves
-exactly like the old hand-maintained ``{id: runner}`` dict.
+Two views over the spec table stay beside :func:`get_spec`:
+``EXPERIMENTS`` behaves exactly like the old hand-maintained
+``{id: runner}`` dict and is what the CLI and the benchmark enumerate
+experiment ids from; ``run_experiment`` is the serial, uncached
+reference path that the engine and chaos tests compare the engine's
+results against.
 """
 
 from __future__ import annotations
@@ -132,10 +135,6 @@ def iter_specs() -> Iterator[ExperimentSpec]:
         yield _SPECS[experiment_id]
 
 
-def get_experiment(experiment_id: str) -> Runner:
-    return get_spec(experiment_id).runner
-
-
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     """Serial, uncached execution — the thin wrapper existing callers use.
 
@@ -146,7 +145,7 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
     and the engine return byte-identical results, warnings included.
     """
     with use_guards(GuardContext(strict=get_guards().strict)) as guards:
-        result = get_experiment(experiment_id)(**kwargs)
+        result = get_spec(experiment_id).runner(**kwargs)
     result.warnings = [w.to_dict() for w in guards.warnings]
     return result
 

@@ -67,7 +67,6 @@ exception at a shard site is *interpreted* as that group dying.
 
 from __future__ import annotations
 
-import datetime as _datetime
 import hashlib
 import json
 import logging
@@ -81,20 +80,16 @@ from pathlib import Path
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.cache import ResultCache, cache_disabled_by_env
 from repro.experiments.engine import (
     COMPLETED_STATUSES,
     ERROR,
     QUARANTINED,
-    SKIPPED,
     ExecutionEngine,
-    ExperimentExecutionError,
     RunManifest,
     RunOutcome,
     RunRecord,
-    load_last_manifest,
+    _Task,
 )
-from repro.experiments.registry import get_spec
 from repro.util.digest import canonical_json, sha256_hex
 from repro.util.faults import InjectedFault, fault_point, maybe_corrupt
 
@@ -288,15 +283,12 @@ def read_shard_manifests(
     return manifests, unreadable
 
 
-def run_key_for(
-    experiment_ids: Sequence[str], kwargs_by_id: Optional[Dict[str, Dict]]
-) -> str:
-    """Fingerprint of one sweep (ids + kwargs), for manifest attribution."""
-    kwargs_by_id = kwargs_by_id or {}
+def run_key_for(tasks: Sequence[_Task]) -> str:
+    """Fingerprint of one planned sweep (ids + kwargs), for attribution."""
     material = canonical_json(
         {
-            "ids": sorted(set(experiment_ids)),
-            "kwargs": {eid: kwargs_by_id.get(eid, {}) for eid in experiment_ids},
+            "ids": sorted(task.experiment_id for task in tasks),
+            "kwargs": {task.experiment_id: task.kwargs for task in tasks},
         }
     )
     return sha256_hex(material)[:16]
@@ -429,6 +421,17 @@ class _ShardRunner:
             self.results.update(outcome.results)
             self.in_flight = []
 
+    def _drain_incomplete_locked(self) -> List[str]:
+        """Empty the queue and in-flight list; returns the unrecorded items."""
+        incomplete = [
+            eid
+            for eid in self.in_flight + list(self.queue)
+            if eid not in self.recorded
+        ]
+        self.in_flight = []
+        self.queue.clear()
+        return incomplete
+
     def _die(self, reason: str) -> None:
         with self.coordinator._lock:
             self.state = DEAD
@@ -447,13 +450,9 @@ class _ShardRunner:
                 chunk = self._take_chunk()
                 if chunk is None:
                     break
-                kwargs_by_id = {
-                    eid: self.coordinator._kwargs_by_id.get(eid, {})
-                    for eid in chunk
-                }
                 outcome = self.engine.run(
                     chunk,
-                    kwargs_by_id=kwargs_by_id,
+                    kwargs_by_id=self.coordinator._kwargs_by_id,
                     write_manifest=False,
                     keep_going=True,
                 )
@@ -474,11 +473,23 @@ class _ShardRunner:
 # -- coordinator --------------------------------------------------------------
 
 
-class ShardCoordinator:
+class ShardCoordinator(ExecutionEngine):
     """Partitions a sweep across worker groups and survives their deaths.
 
-    Parameters largely mirror :class:`ExecutionEngine` (each shard's
-    engine is built from them); the shard-specific knobs:
+    An :class:`ExecutionEngine` whose :meth:`~ExecutionEngine.run` keeps
+    the engine's plan and conclude steps and overrides two things: the
+    dispatch step runs the planned work on ``n_shards`` worker groups
+    (partition, heartbeats, requeue, stealing, salvage, merge), and a
+    resume reads its done-set from the shard manifests first. The
+    returned manifest is the *merged* run manifest — records in
+    deterministic schedule order, each tagged with the shard that
+    produced it — and is written to ``last_run.json`` like any run's.
+
+    Keyword arguments other than the ones below are engine settings
+    (``cache_dir``, ``use_cache``, ``retries``, ``timeout_s``,
+    ``strict``, ``rng_seed``, ...); every shard's engine is built from
+    them, with a jitter seed derived per shard. The shard-specific
+    knobs:
 
     ``n_shards``
         Worker groups to partition the sweep across (>= 1).
@@ -513,16 +524,6 @@ class ShardCoordinator:
         n_shards: int,
         *,
         jobs_per_shard: int = 1,
-        cache_dir: Optional[Union[str, Path]] = None,
-        use_cache: bool = True,
-        retries: int = 0,
-        timeout_s: Optional[float] = None,
-        strict: bool = False,
-        crash_strikes: int = 2,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        rng_seed: Optional[int] = None,
-        leak_threshold: int = 32,
         heartbeat_timeout_s: Optional[float] = None,
         steal: bool = False,
         straggler_factor: float = 2.0,
@@ -531,6 +532,7 @@ class ShardCoordinator:
         max_requeues: int = 2,
         poll_interval_s: float = 0.05,
         chunk_size: Optional[int] = None,
+        **engine_settings,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -546,18 +548,9 @@ class ShardCoordinator:
             raise ValueError(
                 f"straggler_factor must be >= 1.0, got {straggler_factor}"
             )
+        super().__init__(jobs=jobs_per_shard, **engine_settings)
+        self._engine_settings = engine_settings
         self.n_shards = n_shards
-        self.jobs_per_shard = jobs_per_shard
-        self.cache = ResultCache(cache_dir)
-        self.use_cache = use_cache and not cache_disabled_by_env()
-        self.retries = retries
-        self.timeout_s = timeout_s
-        self.strict = strict
-        self.crash_strikes = crash_strikes
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.rng_seed = rng_seed
-        self.leak_threshold = leak_threshold
         self.heartbeat_timeout_s = heartbeat_timeout_s or None
         self.steal = steal
         self.straggler_factor = straggler_factor
@@ -565,16 +558,19 @@ class ShardCoordinator:
         self.requeue = requeue
         self.max_requeues = max_requeues
         self.poll_interval_s = poll_interval_s
-        self.chunk_size = chunk_size if chunk_size else max(1, jobs_per_shard)
+        self.chunk_size = chunk_size if chunk_size else self.jobs
         self._lock = threading.RLock()
         self._runners: List[_ShardRunner] = []
-        self._run_key = ""
-        self._kwargs_by_id: Dict[str, Dict] = {}
+        self._start_run([])
+
+    def _start_run(self, tasks: Sequence[_Task]) -> None:
+        """Reset the per-run state for a sweep of ``tasks``."""
+        self._kwargs_by_id = {task.experiment_id: task.kwargs for task in tasks}
+        self._run_key = run_key_for(tasks)
         self._requeue_counts: Dict[str, int] = {}
         self._handled_deaths: Set[int] = set()
         self._coordinator_records: List[RunRecord] = []
         self._salvage: List[str] = []
-        self._salvage_results: Dict[str, ExperimentResult] = {}
         self._total_requeued = 0
         self._total_stolen = 0
 
@@ -582,27 +578,22 @@ class ShardCoordinator:
     def shards_dir(self) -> Path:
         return self.cache.cache_dir / SHARDS_DIR_NAME
 
-    # -- engines --------------------------------------------------------------
-
-    def _engine_for(self, shard_index: int, jitter_label: str = "shard") -> ExecutionEngine:
-        return ExecutionEngine(
-            jobs=self.jobs_per_shard,
-            use_cache=self.use_cache,
-            cache_dir=self.cache.cache_dir,
-            retries=self.retries,
-            timeout_s=self.timeout_s,
-            crash_strikes=self.crash_strikes,
-            backoff_base_s=self.backoff_base_s,
-            backoff_cap_s=self.backoff_cap_s,
-            rng_seed=derive_shard_seed(self.rng_seed, shard_index),
-            strict=self.strict,
-            leak_threshold=self.leak_threshold,
+    def _engine_for(
+        self, shard_index: int, jitter_label: str = "shard"
+    ) -> ExecutionEngine:
+        """One worker group's engine: this one's settings, its own jitter."""
+        settings = dict(
+            self._engine_settings,
+            rng_seed=derive_shard_seed(
+                self._engine_settings.get("rng_seed"), shard_index
+            ),
             jitter_stream=f"engine.backoff.{jitter_label}{shard_index}",
         )
+        return ExecutionEngine(jobs=self.jobs, **settings)
 
     # -- resume ---------------------------------------------------------------
 
-    def _previously_completed(self) -> FrozenSet[str]:
+    def _previously_completed(self, tasks: Sequence[_Task]) -> FrozenSet[str]:
         """Done-set reconstructed from any readable subset of manifests.
 
         Shard manifests are the primary source; when none exist (the
@@ -611,16 +602,19 @@ class ShardCoordinator:
         unsharded runs.
         """
         manifests, unreadable = read_shard_manifests(self.shards_dir)
+        if not manifests and not unreadable:
+            return super()._previously_completed(tasks)
+        run_key = run_key_for(tasks)
         done: Set[str] = set()
         for manifest in manifests:
-            if manifest.run_key and manifest.run_key != self._run_key:
+            if manifest.run_key and manifest.run_key != run_key:
                 _LOG.warning(
                     "shard manifest %d is from a different sweep "
                     "(run_key %s != %s); using its completions anyway — "
                     "the content-addressed cache guards against staleness",
                     manifest.shard_index,
                     manifest.run_key,
-                    self._run_key,
+                    run_key,
                 )
             done.update(manifest.completed_ids())
         if unreadable:
@@ -628,14 +622,6 @@ class ShardCoordinator:
                 "%d unreadable shard manifest(s) treated as empty during resume",
                 unreadable,
             )
-        if not manifests and not unreadable:
-            last = load_last_manifest(self.cache.cache_dir)
-            if last is not None:
-                done.update(
-                    r.experiment_id
-                    for r in last.records
-                    if r.status in COMPLETED_STATUSES
-                )
         return frozenset(done)
 
     # -- death handling -------------------------------------------------------
@@ -651,13 +637,7 @@ class ShardCoordinator:
         ]
 
     def _requeue_from_locked(self, dead: _ShardRunner) -> None:
-        incomplete = [
-            eid
-            for eid in list(dead.in_flight) + list(dead.queue)
-            if eid not in dead.recorded
-        ]
-        dead.in_flight = []
-        dead.queue.clear()
+        incomplete = dead._drain_incomplete_locked()
         if not incomplete:
             return
         survivors = self._survivors_locked(dead)
@@ -778,72 +758,26 @@ class ShardCoordinator:
         _LOG.info("shard %d stole %s from shard %d", thief.index, item, donor.index)
         return [item]
 
-    # -- run ------------------------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
 
-    def run(
+    def _dispatch(
         self,
-        experiment_ids: Sequence[str],
-        kwargs_by_id: Optional[Dict[str, Dict]] = None,
-        write_manifest: bool = True,
-        keep_going: bool = False,
-        resume: bool = False,
-    ) -> RunOutcome:
-        """Run the sweep sharded; same contract as ``ExecutionEngine.run``.
+        tasks: List[_Task],
+        results: Dict[str, ExperimentResult],
+        manifest: RunManifest,
+    ) -> None:
+        """Run the planned work on the worker groups, then merge.
 
-        The returned outcome's manifest is the *merged* run manifest
-        (records in deterministic schedule order, each tagged with the
-        shard that produced it); it is also written to the engine's
-        ``last_run.json`` so ``cryowire stats`` renders it.
+        Partitions the tasks not resumed, runs one engine per shard on
+        its own thread while the coordinator watches heartbeats and
+        requeues dead shards' items, salvages what no shard could take,
+        and rebuilds ``manifest.records`` as one record per experiment
+        in schedule order.
         """
-        started = time.perf_counter()
-        kwargs_by_id = dict(kwargs_by_id or {})
-        # Deduplicate (order-irrelevant: scheduling re-orders anyway) and
-        # fail fast on unknown ids before any thread starts.
-        ordered = ExecutionEngine.schedule(sorted(set(experiment_ids)))
-        for experiment_id in ordered:
-            get_spec(experiment_id)
-        self._kwargs_by_id = kwargs_by_id
-        self._run_key = run_key_for(ordered, kwargs_by_id)
-        self._requeue_counts = {}
-        self._handled_deaths = set()
-        self._coordinator_records = []
-        self._salvage = []
-        self._salvage_results = {}
-        self._total_requeued = 0
-        self._total_stolen = 0
-
-        manifest = RunManifest(
-            jobs=self.jobs_per_shard,
-            cache_dir=str(self.cache.cache_dir),
-            cache_enabled=self.use_cache,
-            created_at=_datetime.datetime.now(_datetime.timezone.utc).isoformat(),
-            shards=self.n_shards,
-        )
-        results: Dict[str, ExperimentResult] = {}
-
-        done_before = self._previously_completed() if resume else frozenset()
-        skipped_records: List[RunRecord] = []
-        remaining: List[str] = []
-        for experiment_id in ordered:
-            if experiment_id in done_before:
-                start = time.perf_counter()
-                result = self._cached_result(experiment_id)
-                if result is not None:
-                    results[experiment_id] = result
-                skipped_records.append(
-                    RunRecord(
-                        experiment_id,
-                        SKIPPED,
-                        time.perf_counter() - start,
-                        os.getpid(),
-                        attempts=0,
-                    )
-                )
-            else:
-                remaining.append(experiment_id)
-
+        self._start_run(tasks)
         self._reset_shards_dir()
-        assigned = assign_shards(remaining, kwargs_by_id, self.n_shards)
+        remaining = [task.experiment_id for task in tasks if not task.resumed]
+        assigned = assign_shards(remaining, self._kwargs_by_id, self.n_shards)
         self._runners = [
             _ShardRunner(self, index, self._engine_for(index), assigned[index])
             for index in range(self.n_shards)
@@ -865,37 +799,12 @@ class ShardCoordinator:
             self._detect_deaths_locked(time.monotonic())
             self._collect_leftovers_locked()
 
-        salvage_records = self._run_salvage()
-
-        merged = self._merge_records(ordered, skipped_records, salvage_records)
-        manifest.records = merged
         for runner in self._runners:
             results.update(runner.results)
-        results.update(self._salvage_results)
-        manifest.elapsed_s = time.perf_counter() - started
-        if write_manifest:
-            manifest.save(self.cache.manifest_path)
-        outcome = RunOutcome(results=results, manifest=manifest)
-        failures = outcome.failures
-        if failures and not keep_going:
-            detail = "; ".join(
-                f"{r.experiment_id} [{r.status}]: {r.error}" for r in failures
-            )
-            raise ExperimentExecutionError(
-                f"{len(failures)} experiment(s) failed: {detail}", outcome=outcome
-            )
-        return outcome
-
-    # -- run internals --------------------------------------------------------
-
-    def _cached_result(self, experiment_id: str) -> Optional[ExperimentResult]:
-        if not self.use_cache:
-            return None
-        kwargs = self._kwargs_by_id.get(experiment_id, {})
-        if not self.cache.is_cacheable(kwargs):
-            return None
-        key = self.cache.key_for(get_spec(experiment_id), kwargs)
-        return self.cache.get(key)
+        salvage_records = self._run_salvage(results)
+        manifest.records = self._merge_records(
+            [task.experiment_id for task in tasks], manifest.records, salvage_records
+        )
 
     def _reset_shards_dir(self) -> None:
         """Clear the previous run's shard manifests (post resume read)."""
@@ -916,14 +825,8 @@ class ShardCoordinator:
         for runner in self._runners:
             if runner.index in self._handled_deaths:
                 continue
-            leftovers = [
-                eid
-                for eid in list(runner.in_flight) + list(runner.queue)
-                if eid not in runner.recorded
-            ]
+            leftovers = runner._drain_incomplete_locked()
             if leftovers:
-                runner.in_flight = []
-                runner.queue.clear()
                 _LOG.warning(
                     "shard %d finished with %d unprocessed item(s); "
                     "salvaging inline",
@@ -932,24 +835,20 @@ class ShardCoordinator:
                 )
                 self._salvage.extend(leftovers)
 
-    def _run_salvage(self) -> List[RunRecord]:
+    def _run_salvage(self, results: Dict[str, ExperimentResult]) -> List[RunRecord]:
         """Inline salvage of items no surviving group could take."""
         if not self._salvage:
             return []
-        pending = [eid for eid in self._salvage if eid is not None]
         _LOG.warning(
             "coordinator salvaging %d item(s) with no surviving shard: %s",
-            len(pending),
-            ", ".join(pending),
+            len(self._salvage),
+            ", ".join(self._salvage),
         )
         engine = self._engine_for(self.n_shards, jitter_label="salvage")
         outcome = engine.run(
-            pending,
-            kwargs_by_id={eid: self._kwargs_by_id.get(eid, {}) for eid in pending},
-            write_manifest=False,
-            keep_going=True,
+            self._salvage, self._kwargs_by_id, write_manifest=False, keep_going=True
         )
-        self._salvage_results = dict(outcome.results)
+        results.update(outcome.results)
         return list(outcome.manifest.records)
 
     def _merge_records(

@@ -1,9 +1,12 @@
 """The ``cryowire`` CLI."""
 
+import os
+
 import pytest
 
-from repro.experiments.cli import main
+from repro.experiments.cli import _build_parser, _engine, main
 from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.shard import ShardCoordinator
 
 
 class TestList:
@@ -128,6 +131,16 @@ class TestShardFlags:
         capsys.readouterr()
         assert main(["stats"] + cache_flags) == 0
         assert "skipped 2" in capsys.readouterr().out
+
+    def test_jobs_zero_means_one_worker_per_cpu_with_or_without_shards(
+        self, tmp_path
+    ):
+        cpus = os.cpu_count() or 1
+        flags = ["all", "--jobs", "0", "--cache-dir", str(tmp_path)]
+        coordinator = _engine(_build_parser().parse_args(flags + ["--shards", "2"]))
+        assert isinstance(coordinator, ShardCoordinator)
+        assert coordinator._engine_for(0).jobs == cpus
+        assert _engine(_build_parser().parse_args(flags)).jobs == cpus
 
     def test_rejects_negative_shards(self):
         with pytest.raises(SystemExit):

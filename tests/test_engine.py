@@ -24,7 +24,6 @@ from repro.experiments.engine import (
     check_leak_budget,
     leaked_thread_count,
     load_last_manifest,
-    run_experiments,
 )
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -34,6 +33,7 @@ from repro.experiments.registry import (
     get_spec,
     run_experiment,
 )
+from repro.experiments.shard import ShardCoordinator
 
 
 def _sample_result() -> ExperimentResult:
@@ -376,13 +376,34 @@ class TestEngine:
 
     def test_parallel_matches_serial_on_subset(self, tmp_path):
         ids = ["fig20", "fig22", "fig03", "table1", "table4"]
-        parallel = run_experiments(
-            ids, jobs=2, use_cache=False, cache_dir=tmp_path / "cache"
-        )
+        parallel = ExecutionEngine(
+            jobs=2, use_cache=False, cache_dir=tmp_path / "cache"
+        ).run(ids)
         for eid in ids:
             assert parallel.results[eid].to_text() == run_experiment(eid).to_text()
         pids = {r.worker_pid for r in parallel.manifest.records}
         assert len(pids) > 1  # really ran in worker processes
+
+
+class TestDuplicateIds:
+    def test_repeated_id_runs_once_serial_pooled_and_sharded(self, tmp_path):
+        ids = ["table4", "table4", "table1"]
+        runners = {
+            "serial": ExecutionEngine(jobs=1, cache_dir=tmp_path / "serial"),
+            "pooled": ExecutionEngine(jobs=2, cache_dir=tmp_path / "pooled"),
+            "sharded": ShardCoordinator(2, cache_dir=tmp_path / "sharded"),
+        }
+        totals = {}
+        for name, runner in runners.items():
+            manifest = runner.run(ids).manifest
+            records = manifest.records
+            assert sorted(r.experiment_id for r in records) == ["table1", "table4"]
+            assert [r.attempts for r in records] == [1, 1], name
+            totals[name] = manifest.to_dict()["totals"]
+            # Wall time differs by nature; leaked_threads gauges threads
+            # that earlier timeouts leaked into the executing process.
+            del totals[name]["compute_s"], totals[name]["leaked_threads"]
+        assert totals["serial"] == totals["pooled"] == totals["sharded"]
 
 
 @pytest.mark.slow

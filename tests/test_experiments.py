@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro.experiments.registry import EXPERIMENTS, get_spec, run_experiment
 
 
 class TestFramework:
@@ -21,7 +21,7 @@ class TestFramework:
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError, match="available"):
-            get_experiment("fig99")
+            get_spec("fig99")
 
     def test_result_row_width_checked(self):
         result = ExperimentResult("x", "t", ("a", "b"))
