@@ -20,6 +20,7 @@ from repro.noc import (
 )
 from repro.noc.topology import FlattenedButterfly
 from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
+from repro.tech import OP_CRYO, OP_ROOM
 from repro.power.orion import (
     CRYOBUS_64_PROFILE,
     MESH_64_PROFILE,
@@ -37,8 +38,8 @@ def sweep_load_latency() -> None:
     sim = NocSimulator(n_cycles=6000)
     pattern = make_pattern("uniform", 64)
     rows = []
-    for temp_label, temperature in (("300K", 300.0), ("77K", 77.0)):
-        hpc = links.hops_per_cycle(temperature)
+    for temp_label, op in (("300K", OP_ROOM), ("77K", OP_CRYO)):
+        hpc = links.hops_per_cycle(op)
         for rate in RATES:
             mesh = sim.simulate_router_network(
                 Mesh(64), pattern, rate, hops_per_cycle=hpc

@@ -474,9 +474,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         return 1 if outcome.failures else 0
     if args.command == "report":
-        from repro.experiments.report import main as report_main
+        from repro.experiments.report import REPORT_IDS, main as report_main
 
-        print(report_main(runner=_engine(args).run_one))
+        outcome = _engine(args).run(REPORT_IDS, write_manifest=False)
+        print(report_main(runner=outcome.results.__getitem__))
         return 0
     if args.command == "audit":
         from repro.util.guards import ModelValidityError

@@ -171,8 +171,8 @@ class RunRecord:
     #: Structured model-validity warnings the driver's guard context
     #: collected (``ModelWarning.to_dict()`` payloads).
     warnings: List[Dict] = field(default_factory=list)
-    #: Live leaked timeout threads in the executing worker when this
-    #: record was produced (a per-worker gauge, not a per-record delta).
+    #: Driver threads this experiment's attempts abandoned at a timeout,
+    #: summed over retries.
     leaked_threads: int = 0
     #: Worker-group (shard) index that produced this record; ``-1`` means
     #: an unsharded run or a coordinator-side record (skip/orphan).
@@ -267,17 +267,8 @@ class RunManifest:
 
     @property
     def n_leaked_threads(self) -> int:
-        """Leaked timeout threads still live across the worker fleet.
-
-        Each record carries its worker's gauge at completion time, so
-        the fleet total is the max per worker pid summed over pids —
-        summing records would count the same leak once per experiment.
-        """
-        per_worker: Dict[int, int] = {}
-        for record in self.records:
-            pid = record.worker_pid
-            per_worker[pid] = max(per_worker.get(pid, 0), record.leaked_threads)
-        return sum(per_worker.values())
+        """Driver threads this run's timeouts abandoned."""
+        return sum(record.leaked_threads for record in self.records)
 
     @property
     def hit_rate(self) -> float:
@@ -405,7 +396,7 @@ class RunOutcome:
 
     @property
     def leaked_threads(self) -> int:
-        """Leaked timeout threads live across workers (see the manifest)."""
+        """Driver threads this run's timeouts abandoned (see the manifest)."""
         return self.manifest.n_leaked_threads
 
 
@@ -498,7 +489,8 @@ def _error_payload(
         "wall": wall,
         "pid": pid,
         "warnings": list(warnings or []),
-        "leaked": leaked_thread_count(),
+        # A timeout is the one failure that abandons the driver thread.
+        "leaked": int(isinstance(exc, ExperimentTimeout)),
     }
 
 
@@ -516,10 +508,10 @@ def _execute(
     failures (a crash is the only outcome that loses attribution).
     Guard warnings the driver collected travel in the payload either
     way: under ``strict`` a tripped guard is the error *and* its
-    structured record is still delivered. ``leaked`` reports the live
-    leaked-thread count of this worker process; a positive
-    ``leak_threshold`` refuses execution outright once that budget is
-    spent (a non-transient failure — retrying cannot help).
+    structured record is still delivered. ``leaked`` counts the driver
+    threads this attempt abandoned; a positive ``leak_threshold``
+    refuses execution outright once the worker's live leaked-thread
+    budget is spent (a non-transient failure — retrying cannot help).
     """
     start = time.perf_counter()
     pid = os.getpid()
@@ -538,7 +530,7 @@ def _execute(
         "wall": time.perf_counter() - start,
         "pid": pid,
         "warnings": sink,
-        "leaked": leaked_thread_count(),
+        "leaked": 0,
     }
 
 
@@ -554,6 +546,7 @@ class _Task:
     attempts: int = 0  # executions submitted so far
     transient_failures: int = 0  # retryable failures consumed so far
     strikes: int = 0  # attributed worker crashes
+    leaked: int = 0  # driver threads abandoned at a timeout, all attempts
     submitted_at: float = 0.0
 
 
@@ -876,7 +869,7 @@ class ExecutionEngine:
                 error=payload.get("error", ""),
                 attempts=max(1, task.attempts),
                 warnings=list(payload.get("warnings", [])),
-                leaked_threads=payload.get("leaked", 0),
+                leaked_threads=task.leaked,
             )
         )
 
@@ -923,6 +916,7 @@ class ExecutionEngine:
                     return
                 time.sleep(self._backoff_s(task.strikes))
                 continue
+            task.leaked += payload["leaked"]
             if self._wants_retry(task, payload):
                 time.sleep(self._backoff_s(task.transient_failures))
                 continue
@@ -1003,6 +997,7 @@ class ExecutionEngine:
                             time.perf_counter() - task.submitted_at,
                             0,
                         )
+                    task.leaked += payload["leaked"]
                     if self._wants_retry(task, payload):
                         deferred.append(
                             (

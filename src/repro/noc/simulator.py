@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.noc.arbiter import MatrixArbiter
 from repro.noc.bus import BusDesign
@@ -33,7 +33,6 @@ from repro.noc.measure import (
     SATURATION_FACTOR,
     LatencyMeter,
     LoadLatencyPoint,
-    load_latency_curve as _load_latency_curve,
     summarise as _summarise,
 )
 from repro.noc.topology import RouterTopology
@@ -212,21 +211,3 @@ class NocSimulator:
 
         zero_load = overhead + broadcast
         return meter.summarise(injection_rate, zero_load)
-
-    # ------------------------------------------------------------------
-    def load_latency_curve(
-        self,
-        simulate,
-        rates: Sequence[float],
-        stop_on_saturation: bool = True,
-        **kwargs,
-    ) -> List[LoadLatencyPoint]:
-        """Sweep injection rates with either engine (bound via partial).
-
-        Delegates to :func:`repro.noc.measure.load_latency_curve`: once a
-        rate saturates, higher rates are synthesised instead of simulated
-        (pass ``stop_on_saturation=False`` to force every point).
-        """
-        return _load_latency_curve(
-            simulate, rates, stop_on_saturation=stop_on_saturation, **kwargs
-        )

@@ -290,10 +290,7 @@ def as_operating_point_batch(
 ) -> OperatingPointBatch:
     """Coerce any batch-like value into an :class:`OperatingPointBatch`.
 
-    The batch analogue of
-    :func:`~repro.tech.operating_point.as_operating_point` — except that
-    there is no legacy scalar form to deprecate: bare numbers are
-    rejected, points are constructed explicitly.
+    Bare numbers are rejected: points are constructed explicitly.
     """
     if isinstance(op, OperatingPointBatch):
         return op

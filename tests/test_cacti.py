@@ -6,16 +6,12 @@ from hypothesis import given, settings, strategies as st
 from repro.memory.cacti import CactiModel
 from repro.memory.cache import MEMORY_300K
 from repro.pipeline.config import OP_NOC_300K, OP_NOC_77K
+from repro.tech.operating_point import OP_CRYO, OP_ROOM, OperatingPoint
 
 
 @pytest.fixture(scope="module")
 def cacti():
     return CactiModel()
-
-
-#: Table 4's cache voltage domains (shared with the NoC).
-V300 = dict(vdd_v=OP_NOC_300K.vdd_v, vth_v=OP_NOC_300K.vth_v)
-V77 = dict(vdd_v=OP_NOC_77K.vdd_v, vth_v=OP_NOC_77K.vth_v)
 
 
 class TestGeometryTradeoff:
@@ -54,21 +50,24 @@ class TestGeometryTradeoff:
 
 
 class TestTable4Emergence:
-    """The 'caches are ~2x faster at 77 K' input of Table 4 emerges."""
+    """The 'caches are ~2x faster at 77 K' input of Table 4 emerges.
+
+    Caches sit in Table 4's NoC/LLC voltage domain.
+    """
 
     def test_l3_absolute_latency(self, cacti):
-        timing = cacti.optimize(1024, 300.0, **V300)
+        timing = cacti.optimize(1024, OP_NOC_300K)
         assert timing.access_ns == pytest.approx(MEMORY_300K.l3_latency_ns, rel=0.30)
 
     def test_l2_absolute_latency(self, cacti):
-        timing = cacti.optimize(256, 300.0, **V300)
+        timing = cacti.optimize(256, OP_NOC_300K)
         assert timing.access_ns == pytest.approx(MEMORY_300K.l2_latency_ns, rel=0.35)
 
     def test_cryo_speedups_around_2x(self, cacti):
         speedups = []
         for size in (32, 256, 1024):
-            warm = cacti.optimize(size, 300.0, **V300).access_ns
-            cold = cacti.optimize(size, 77.0, **V77).access_ns
+            warm = cacti.optimize(size, OP_NOC_300K).access_ns
+            cold = cacti.optimize(size, OP_NOC_77K).access_ns
             speedups.append(warm / cold)
         assert 1.5 < speedups[0] < 2.2       # L1: logic-heavy
         assert 1.8 < speedups[1] < 2.8       # L2
@@ -77,7 +76,7 @@ class TestTable4Emergence:
         assert mean == pytest.approx(2.0, abs=0.5)
 
     def test_bigger_caches_gain_more_from_cooling(self, cacti):
-        assert cacti.speedup(1024, 77.0) > cacti.speedup(32, 77.0)
+        assert cacti.speedup(1024, OP_CRYO) > cacti.speedup(32, OP_CRYO)
 
     def test_table4_check_helper(self, cacti):
         l1, l2, l3 = cacti.table4_check()
@@ -91,8 +90,8 @@ class TestProperties:
         temp=st.floats(min_value=77.0, max_value=300.0),
     )
     def test_cooling_never_slows_a_cache(self, cacti, size, temp):
-        warm = cacti.optimize(size, 300.0).access_ns
-        cold = cacti.optimize(size, temp).access_ns
+        warm = cacti.optimize(size, OP_ROOM).access_ns
+        cold = cacti.optimize(size, OperatingPoint.at(temp)).access_ns
         assert cold <= warm + 1e-12
 
     @settings(max_examples=20, deadline=None)

@@ -45,6 +45,35 @@ class TestReport:
         assert "median |diff|" in out
         assert "CryoSP frequency" in out
 
+    def test_report_runs_every_anchor_in_one_engine_sweep(
+        self, monkeypatch, tmp_path
+    ):
+        """``--jobs`` must reach the anchors: one ``run`` over all of them,
+        not one single-id (hence inline) run per anchor."""
+        from repro.experiments.engine import ExecutionEngine
+
+        calls = []
+
+        class _Stop(Exception):
+            pass
+
+        def spy(self, experiment_ids, *args, **kwargs):
+            calls.append((self.jobs, list(experiment_ids)))
+            raise _Stop
+
+        monkeypatch.setattr(ExecutionEngine, "run", spy)
+        with pytest.raises(_Stop):
+            main(["report", "--jobs", "2", "--cache-dir", str(tmp_path)])
+        assert calls == [
+            (
+                2,
+                [
+                    "fig02", "fig03", "fig05", "fig10", "fig12_14", "fig17",
+                    "fig20", "fig22", "fig23", "fig24", "table3", "fig09",
+                ],
+            )
+        ]
+
 
 class TestFaultToleranceFlags:
     def _register_boom(self, experiment_id):

@@ -10,6 +10,7 @@ from repro.pipeline.model import PipelineModel
 from repro.power.mcpat import CorePowerModel
 from repro.system.config import CHP_77K_CRYOBUS, CHP_77K_MESH
 from repro.system.multicore import MulticoreSystem
+from repro.tech.operating_point import OP_ROOM
 from repro.workloads.profiles import PARSEC_2_1, WorkloadProfile
 
 temperatures = st.floats(min_value=77.0, max_value=300.0)
@@ -37,15 +38,18 @@ class TestThermodynamicMonotonicity:
     @given(t_cold=temperatures)
     def test_cache_access(self, t_cold):
         cacti = CactiModel()
-        assert cacti.optimize(256, t_cold).access_ns <= (
-            cacti.optimize(256, 300.0).access_ns + 1e-12
+        assert cacti.optimize(256, OperatingPoint.at(t_cold)).access_ns <= (
+            cacti.optimize(256, OP_ROOM).access_ns + 1e-12
         )
 
     @settings(max_examples=10, deadline=None)
     @given(t_cold=temperatures)
     def test_dram_access(self, t_cold):
         dram = CllDramModel()
-        assert dram.timing(t_cold).access_ns <= dram.timing(300.0).access_ns + 1e-12
+        assert (
+            dram.timing(OperatingPoint.at(t_cold)).access_ns
+            <= dram.timing(OP_ROOM).access_ns + 1e-12
+        )
 
 
 class TestStructuralMonotonicity:

@@ -400,9 +400,7 @@ class TestDuplicateIds:
             assert sorted(r.experiment_id for r in records) == ["table1", "table4"]
             assert [r.attempts for r in records] == [1, 1], name
             totals[name] = manifest.to_dict()["totals"]
-            # Wall time differs by nature; leaked_threads gauges threads
-            # that earlier timeouts leaked into the executing process.
-            del totals[name]["compute_s"], totals[name]["leaked_threads"]
+            del totals[name]["compute_s"]  # wall time differs by nature
         assert totals["serial"] == totals["pooled"] == totals["sharded"]
 
 
@@ -546,6 +544,34 @@ class TestLeakedThreadTracking:
             self._drain(stop)
             _SPECS.pop("_engine_test_leak_sleeper", None)
 
+    def test_records_count_only_their_own_abandoned_threads(self):
+        stop = threading.Event()
+
+        @experiment("_engine_test_leak_retried")
+        def _sleeper():
+            stop.wait(30.0)
+            result = ExperimentResult("_engine_test_leak_retried", "t", ("k", "v"))
+            result.add_row("x", 1.0)
+            return result
+
+        try:
+            engine = ExecutionEngine(
+                jobs=1, use_cache=False, timeout_s=0.1, retries=1,
+                backoff_base_s=0.0,
+            )
+            leaky = engine.run(["_engine_test_leak_retried"], keep_going=True)
+            # Both attempts timed out, each abandoning its driver thread.
+            assert [r.leaked_threads for r in leaky.manifest.records] == [2]
+            assert leaky.leaked_threads == 2
+            # A later inline run in the same process, with those threads
+            # still alive, abandoned none of its own.
+            clean = ExecutionEngine(jobs=1, use_cache=False).run(["table1"])
+            assert leaked_thread_count() >= 2
+            assert [r.leaked_threads for r in clean.manifest.records] == [0]
+        finally:
+            self._drain(stop)
+            _SPECS.pop("_engine_test_leak_retried", None)
+
     def test_check_leak_budget_thresholds(self):
         stop = threading.Event()
 
@@ -621,8 +647,8 @@ class TestLeakedThreadTracking:
             ExecutionEngine(jobs=1, leak_threshold=-1)
 
     def test_manifest_rolls_up_leaks_per_worker(self):
-        """Records carry a per-worker gauge; the manifest total is the
-        max per pid summed over pids, not the sum over records."""
+        """Each record counts the threads its own attempts abandoned, so
+        the manifest total is the plain sum over records."""
         manifest = RunManifest(jobs=2, cache_dir="", cache_enabled=False)
         manifest.records = [
             RunRecord("a", "miss", worker_pid=100, leaked_threads=1),
@@ -630,8 +656,8 @@ class TestLeakedThreadTracking:
             RunRecord("c", "miss", worker_pid=200, leaked_threads=2),
             RunRecord("d", "hit", worker_pid=200, leaked_threads=0),
         ]
-        assert manifest.n_leaked_threads == 5
-        assert manifest.to_dict()["totals"]["leaked_threads"] == 5
+        assert manifest.n_leaked_threads == 6
+        assert manifest.to_dict()["totals"]["leaked_threads"] == 6
         revived = RunRecord.from_dict(manifest.records[1].to_dict())
         assert revived.leaked_threads == 3
 

@@ -8,7 +8,7 @@ from repro.noc.bus import CryoBusDesign, HTree, HTreeBus300K, SharedBusDesign
 from repro.noc.link import WireLinkModel
 from repro.noc.router import RouterModel
 from repro.noc.topology import CMesh, FlattenedButterfly, Mesh
-from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_CRYO, OP_NOC_77K, OP_ROOM
 
 
 @pytest.fixture(scope="module")
@@ -18,17 +18,17 @@ def links():
 
 class TestWireLink:
     def test_4_hops_per_cycle_at_300k(self, links):
-        assert links.hops_per_cycle(T_ROOM) == 4
+        assert links.hops_per_cycle(OP_ROOM) == 4
 
     def test_12_hops_per_cycle_at_77k(self, links):
-        assert links.hops_per_cycle(T_LN2) == 12
+        assert links.hops_per_cycle(OP_CRYO) == 12
 
     def test_2mm_hop_anchor(self, links):
-        assert links.hop_delay_ns(T_ROOM) == pytest.approx(0.064, abs=0.010)
+        assert links.hop_delay_ns(OP_ROOM) == pytest.approx(0.064, abs=0.010)
 
     def test_6mm_link_speedup_anchor(self, links):
         """Fig. 10: the CryoBus link gains ~3.05x at 77 K."""
-        assert links.speedup(6.0, T_LN2) == pytest.approx(3.05, abs=0.20)
+        assert links.speedup(6.0, OP_CRYO) == pytest.approx(3.05, abs=0.20)
 
     def test_rejects_nonpositive_length(self, links):
         with pytest.raises(ValueError):
@@ -43,11 +43,11 @@ class TestWireLink:
 class TestRouter:
     def test_marginal_speedup_at_77k(self):
         """Routers are transistor-bound: ~9 % gain at 77 K (Section 5.1)."""
-        assert RouterModel().speedup(T_LN2) == pytest.approx(1.093, abs=0.02)
+        assert RouterModel().speedup(OP_CRYO) == pytest.approx(1.093, abs=0.02)
 
     def test_table4_mesh_frequency(self):
         """77 K mesh at NoC voltage clocks ~5.44 GHz (Table 4)."""
-        freq = RouterModel().frequency_ghz(T_LN2, vdd_v=0.55, vth_v=0.225)
+        freq = RouterModel().frequency_ghz(OP_NOC_77K)
         assert freq == pytest.approx(5.44, rel=0.05)
 
     def test_three_cycle_router_traversal(self):

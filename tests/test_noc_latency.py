@@ -11,23 +11,17 @@ from repro.noc.simulator import NocSimulator
 from repro.noc.topology import Mesh
 from repro.noc.traffic import make_pattern
 from repro.pipeline.config import OP_NOC_77K
-from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_ROOM
 
 
 @pytest.fixture(scope="module")
 def mesh_77k():
-    return AnalyticNocModel(
-        topology=Mesh(64), temperature_k=T_LN2,
-        vdd_v=OP_NOC_77K.vdd_v, vth_v=OP_NOC_77K.vth_v,
-    )
+    return AnalyticNocModel(topology=Mesh(64), op=OP_NOC_77K)
 
 
 @pytest.fixture(scope="module")
 def cryobus_model():
-    return AnalyticNocModel(
-        bus=CryoBusDesign(64), temperature_k=T_LN2,
-        vdd_v=OP_NOC_77K.vdd_v, vth_v=OP_NOC_77K.vth_v,
-    )
+    return AnalyticNocModel(bus=CryoBusDesign(64), op=OP_NOC_77K)
 
 
 class TestConstruction:
@@ -55,7 +49,7 @@ class TestZeroLoad:
 
     def test_cryobus_5x_faster_than_300k_mesh(self, cryobus_model):
         """The paper's headline: five times lower NoC latency."""
-        mesh_300 = AnalyticNocModel(topology=Mesh(64), temperature_k=T_ROOM)
+        mesh_300 = AnalyticNocModel(topology=Mesh(64), op=OP_ROOM)
         ratio = mesh_300.one_way_ns(0.0) / cryobus_model.one_way_ns(0.0)
         assert 3.0 < ratio < 6.0
 

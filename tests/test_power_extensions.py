@@ -16,7 +16,7 @@ from repro.power.orion import (
     profile_from_mesh,
 )
 from repro.power.tco import TemperatureOptimizer, default_device_power
-from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_CRYO, OP_ROOM, OperatingPoint
 
 
 class TestDerivedNocProfiles:
@@ -59,30 +59,32 @@ class TestCllDram:
         return CllDramModel()
 
     def test_300k_anchor(self, model):
-        assert model.timing(T_ROOM).access_ns == pytest.approx(
+        assert model.timing(OP_ROOM).access_ns == pytest.approx(
             DRAM_300K.random_access_ns, rel=0.01
         )
 
     def test_77k_emerges_at_3_8x(self, model):
         """Table 4's 3.8x DRAM speed-up emerges from the decomposition."""
-        assert model.speedup(T_LN2) == pytest.approx(3.8, abs=0.1)
-        assert model.timing(T_LN2).access_ns == pytest.approx(
+        assert model.speedup(OP_CRYO) == pytest.approx(3.8, abs=0.1)
+        assert model.timing(OP_CRYO).access_ns == pytest.approx(
             DRAM_77K.random_access_ns, rel=0.05
         )
 
     def test_array_rc_collapses_most(self, model):
-        warm, cold = model.timing(T_ROOM), model.timing(T_LN2)
+        warm, cold = model.timing(OP_ROOM), model.timing(OP_CRYO)
         array_gain = warm.array_rc_ns / cold.array_rc_ns
         periphery_gain = warm.periphery_ns / cold.periphery_ns
         assert array_gain > 3 * periphery_gain
 
     def test_speedup_monotone(self, model):
-        speedups = [model.speedup(t) for t in (250, 200, 150, 100, 77)]
+        speedups = [
+            model.speedup(OperatingPoint.at(t)) for t in (250, 200, 150, 100, 77)
+        ]
         assert speedups == sorted(speedups)
 
     def test_rejects_out_of_range(self, model):
         with pytest.raises(ValueError):
-            model.timing(10.0)
+            model.timing(OperatingPoint.at(10.0))
 
 
 class TestTemperatureOptimizer:

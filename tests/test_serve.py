@@ -384,6 +384,69 @@ class TestEndpoints:
         assert status == 422
         assert payload["error"]["code"] == "invalid_cryostat"
 
+    def test_cryostat_custom_stages_match_direct_ledger(self, server):
+        from repro.power.tco import cryostat_tco_w
+        from repro.thermal import ComponentPlacement, Cryostat, ThermalStage
+
+        status, payload = _post(
+            server,
+            "/v1/cryostat",
+            {
+                "stages": [
+                    {"name": "room", "temperature_k": 300.0},
+                    {"name": "ln2", "temperature_k": 77.0, "carnot_fraction": 0.25},
+                    {"name": "lhe", "temperature_k": 4.2, "overhead": 400.0},
+                ],
+                "placements": [
+                    {"component": "core", "stage": "ln2", "device_power_w": 8.0},
+                    {"component": "qctrl", "stage": "lhe", "device_power_w": 0.02},
+                ],
+            },
+        )
+        assert status == 200
+        direct = Cryostat(
+            (
+                ThermalStage("room", 300.0),
+                ThermalStage("ln2", 77.0, carnot_fraction=0.25),
+                ThermalStage("lhe", 4.2, overhead_override=400.0),
+            ),
+            placements=[
+                ComponentPlacement("core", "ln2", 8.0),
+                ComponentPlacement("qctrl", "lhe", 0.02),
+            ],
+        )
+        assert payload["ledger"] == direct.ledger().to_dict()
+        assert payload["tco_w"] == cryostat_tco_w(direct)
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            pytest.param({"name": "ln2"}, id="missing-temperature"),
+            pytest.param(
+                {"name": "ln2", "temperature_k": 77.0, "pressure_bar": 1.0},
+                id="unknown-field",
+            ),
+            pytest.param(
+                {"name": "ln2", "temperature_k": 77.0, "carnot_fraction": 0},
+                id="zero-carnot-fraction",
+            ),
+        ],
+    )
+    def test_cryostat_rejects_malformed_stage(self, server, stage):
+        status, payload = _post(
+            server,
+            "/v1/cryostat",
+            {
+                "stages": [{"name": "room", "temperature_k": 300.0}, stage],
+                "placements": [
+                    {"component": "core", "stage": "ln2", "device_power_w": 1.0}
+                ],
+            },
+        )
+        assert status == 422
+        assert payload["error"]["code"] == "invalid_cryostat"
+        assert "stages[1]" in payload["error"]["message"]
+
     def test_cryostat_queries_counted_in_stats(self, server):
         before = _get(server, "/stats")[1]["requests"]["cryostat_queries"]
         _post(

@@ -3,32 +3,32 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.tech.constants import T_LN2, T_ROOM
+from repro.tech.operating_point import OP_CRYO, OP_ROOM, OperatingPoint
 from repro.tech.wire import CryoWireModel
 
 
 class TestUnrepeated:
     def test_forwarding_wire_anchor(self, wire_model):
         """The 1686 um semi-global forwarding wire gains ~2.8x at 77 K."""
-        speedup = wire_model.unrepeated_speedup("semi_global", 1686.0, T_LN2)
+        speedup = wire_model.unrepeated_speedup("semi_global", 1686.0, OP_CRYO)
         assert speedup == pytest.approx(2.81, abs=0.15)
 
     def test_local_long_wire_approaches_295(self, wire_model):
-        speedup = wire_model.unrepeated_speedup("local", 2500.0, T_LN2)
+        speedup = wire_model.unrepeated_speedup("local", 2500.0, OP_CRYO)
         assert 2.7 < speedup < 2.96
 
     def test_semi_global_long_wire_approaches_369(self, wire_model):
-        speedup = wire_model.unrepeated_speedup("semi_global", 6000.0, T_LN2)
+        speedup = wire_model.unrepeated_speedup("semi_global", 6000.0, OP_CRYO)
         assert 3.4 < speedup < 3.70
 
     def test_short_wires_gain_little(self, wire_model):
         """Short wires are driver-dominated: only the ~8 % logic gain."""
-        speedup = wire_model.unrepeated_speedup("local", 10.0, T_LN2)
+        speedup = wire_model.unrepeated_speedup("local", 10.0, OP_CRYO)
         assert 1.0 < speedup < 1.25
 
     def test_speedup_grows_with_length(self, wire_model):
         speedups = [
-            wire_model.unrepeated_speedup("semi_global", length, T_LN2)
+            wire_model.unrepeated_speedup("semi_global", length, OP_CRYO)
             for length in (50, 200, 800, 3000)
         ]
         assert speedups == sorted(speedups)
@@ -54,12 +54,12 @@ class TestUnrepeated:
 
 class TestRepeated:
     def test_global_622mm_anchor(self, wire_model):
-        assert wire_model.repeated_speedup("global", 6220.0, T_LN2) == pytest.approx(
+        assert wire_model.repeated_speedup("global", 6220.0, OP_CRYO) == pytest.approx(
             3.38, abs=0.15
         )
 
     def test_semi_900um_band(self, wire_model):
-        speedup = wire_model.repeated_speedup("semi_global", 900.0, T_LN2)
+        speedup = wire_model.repeated_speedup("semi_global", 900.0, OP_CRYO)
         assert 1.6 < speedup < 2.6
 
     def test_repeated_beats_unrepeated_for_long_wires(self, wire_model):
@@ -73,11 +73,11 @@ class TestRepeated:
 class TestSweep:
     def test_sweep_returns_requested_lengths(self, wire_model):
         lengths = (100.0, 500.0)
-        sweep = wire_model.speedup_sweep("local", lengths, T_LN2)
+        sweep = wire_model.speedup_sweep("local", lengths, OP_CRYO)
         assert set(sweep) == set(lengths)
 
     def test_room_sweep_is_flat(self, wire_model):
-        sweep = wire_model.speedup_sweep("local", (100.0, 1000.0), T_ROOM)
+        sweep = wire_model.speedup_sweep("local", (100.0, 1000.0), OP_ROOM)
         for value in sweep.values():
             assert value == pytest.approx(1.0)
 
@@ -89,7 +89,9 @@ class TestProperties:
         temp=st.floats(min_value=77.0, max_value=300.0),
     )
     def test_unrepeated_speedup_at_least_unity(self, wire_model, length, temp):
-        assert wire_model.unrepeated_speedup("semi_global", length, temp) >= 0.999
+        assert wire_model.unrepeated_speedup(
+            "semi_global", length, OperatingPoint.at(temp)
+        ) >= 0.999
 
     @settings(max_examples=40, deadline=None)
     @given(length=st.floats(min_value=10.0, max_value=10000.0))
